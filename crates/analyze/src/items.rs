@@ -278,7 +278,6 @@ fn collect_imports(file: &SourceFile, module: &[String]) -> BTreeMap<String, Vec
 /// Recursive-descent over one `use` tree level. `prefix` holds the
 /// absolute segments accumulated so far (empty at the top level, where
 /// the head segment still needs [`absolute_head`] mapping).
-#[allow(clippy::too_many_arguments)] // internal walker, not API
 fn use_tree(
     file: &SourceFile,
     pos: &mut usize,

@@ -3,21 +3,20 @@
 //!
 //! The engine lexes every workspace source file ([`lexer`]), builds a
 //! per-file model — significant tokens, `#[cfg(test)]` regions, allow
-//! markers, `fn` items ([`model`]) — runs the nine rules ([`rules`]),
+//! markers, `fn` items ([`model`]) — runs the five rules ([`rules`]),
 //! subtracts `// lint: allow(<rule>) — <reason>` markers, and diffs obs
 //! emissions against the `crates/obs/events.toml` registry ([`schema`]).
 //!
 //! | rule             | scope                                  | forbids |
 //! |------------------|----------------------------------------|---------|
-//! | `no-panic`       | all library crates                     | `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in non-test code |
 //! | `float-eq`       | library crates except `geom`           | `==`/`!=` against float literals or `f64::` constants |
-//! | `doc-pub`        | `core`, `tree`, `graph`, `geom`, `obs` | `pub` items without a doc comment |
-//! | `no-as-cast`     | `core`, `tree`, `graph`, `obs`         | `as usize` / `as f64` casts |
-//! | `no-print`       | all crates incl. `cli`, `bench`        | `println!`/`eprintln!`/`dbg!` in library sources |
-//! | `determinism`    | `core`, `steiner`, `router`, `tree`    | `HashMap`/`HashSet`; unstable sorts on float keys |
-//! | `error-taxonomy` | `core`, `steiner`, `router`            | `catch_unwind` not reaching `BmstError::Internal`; `.unwrap_or_default()`; pub builders not returning `Result<_, BmstError>` |
+//! | `determinism`    | `core`, `steiner`, `router`, `tree`, `serve` | `HashMap`/`HashSet`; unstable sorts on float keys |
+//! | `error-taxonomy` | `core`, `steiner`, `router`, `serve`   | `catch_unwind` not reaching `BmstError::Internal`; `.unwrap_or_default()`; pub builders not returning `Result<_, BmstError>` |
 //! | `obs-schema`     | all crates except `obs`                | emission names missing from `events.toml` (and dead entries); unqualified emission imports |
-//! | `concurrency`    | `router`                               | `static mut`, `Rc`/`RefCell`, `thread_local!`; missing `Send`/`Sync` assertions on `RouteAlgorithm` |
+//! | `concurrency`    | `router`, `serve`                      | `static mut`, `Rc`/`RefCell`, `thread_local!`; missing `Send`/`Sync` assertions on `RouteAlgorithm` |
+//!
+//! The generic panic, cast, print and doc rules are clippy/rustc lints,
+//! denied in each library crate root (DESIGN.md §5a).
 //!
 //! Markers attach to **tokens**, not raw lines: a marker only counts when
 //! the rule it names actually produced a candidate on its line or the line
@@ -348,7 +347,7 @@ pub fn diff_violations(root: &Path, diff: &SchemaDiff) -> Vec<Violation> {
     out
 }
 
-/// Analyses the whole workspace: all nine rules plus the obs-schema
+/// Analyses the whole workspace: all five rules plus the obs-schema
 /// round-trip against `crates/obs/events.toml`.
 pub fn analyze_workspace(root: &Path) -> AnalysisReport {
     let mut report = AnalysisReport::default();
@@ -410,32 +409,10 @@ pub struct RuleInfo {
 pub fn rule_table() -> Vec<RuleInfo> {
     vec![
         RuleInfo {
-            name: "no-panic",
-            scope: rules::PANIC_FREE_CRATES,
-            description: "forbids .unwrap() / .expect( / panic! / unreachable! / todo! / \
-                          unimplemented! in non-test code",
-        },
-        RuleInfo {
             name: "float-eq",
             scope: rules::FLOAT_EQ_CRATES,
             description: "forbids ==/!= against float literals or f64:: constants; use \
                           bmst-geom's tolerance helpers",
-        },
-        RuleInfo {
-            name: "doc-pub",
-            scope: rules::DOC_CRATES,
-            description: "every `pub` item must carry a doc comment",
-        },
-        RuleInfo {
-            name: "no-as-cast",
-            scope: rules::CAST_CRATES,
-            description: "forbids `as usize` / `as f64` casts; use From/TryFrom or annotate",
-        },
-        RuleInfo {
-            name: "no-print",
-            scope: rules::PRINT_FREE_CRATES,
-            description: "forbids println!/eprintln!/dbg! in library sources (src/bin/ and \
-                          main.rs exempt)",
         },
         RuleInfo {
             name: "determinism",
@@ -587,19 +564,19 @@ mod tests {
 
     #[test]
     fn markers_suppress_and_are_tracked() {
-        let src = "// lint: allow(no-panic) — index is in range by construction\n\
-                   fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        let src = "// lint: allow(determinism) — keys are never iterated\n\
+                   fn f(m: HashMap<u8, u8>) {}\n";
         let v = analyze_file(&file("core", src));
         assert!(v.is_empty(), "got {v:?}");
     }
 
     #[test]
     fn marker_without_reason_is_a_violation() {
-        let src = "// lint: allow(no-panic)\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        let src = "// lint: allow(determinism)\nfn f(m: HashMap<u8, u8>) {}\n";
         let v = analyze_file(&file("core", src));
         let rules: Vec<&str> = v.iter().map(|x| x.rule.as_str()).collect();
         assert!(
-            rules.contains(&"no-panic"),
+            rules.contains(&"determinism"),
             "unsuppressed violation survives"
         );
         assert!(rules.contains(&"marker"), "reasonless marker reported");
@@ -607,7 +584,8 @@ mod tests {
 
     #[test]
     fn stale_marker_is_a_violation() {
-        let src = "// lint: allow(no-panic) — was needed before the refactor\nfn f() -> u8 { 1 }\n";
+        let src =
+            "// lint: allow(determinism) — was needed before the refactor\nfn f() -> u8 { 1 }\n";
         let v = analyze_file(&file("core", src));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "marker");
@@ -624,17 +602,17 @@ mod tests {
 
     #[test]
     fn out_of_scope_marker_is_not_stale() {
-        // `bench` is outside the no-panic scope: the rule never runs, so
-        // the marker cannot be judged stale there (but the unknown-rule
+        // `bench` is outside the determinism scope: the rule never runs,
+        // so the marker cannot be judged stale there (but the unknown-rule
         // and reason checks still apply).
-        let src = "// lint: allow(no-panic) — kept for symmetry\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        let src = "// lint: allow(determinism) — kept for symmetry\nfn f(m: HashMap<u8, u8>) {}\n";
         let v = analyze_file(&file("bench", src));
         assert!(v.is_empty(), "got {v:?}");
     }
 
     #[test]
     fn test_region_markers_are_exempt_from_staleness() {
-        let src = "#[cfg(test)]\nmod tests {\n    // lint: allow(no-panic) — tests may panic\n    fn t() {}\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    // lint: allow(determinism) — test fixtures\n    fn t() {}\n}\n";
         let v = analyze_file(&file("core", src));
         assert!(v.is_empty(), "got {v:?}");
     }
@@ -645,10 +623,10 @@ mod tests {
         // violation is on the first non-test line below it. The waiver
         // must not cross the region boundary: the violation survives,
         // and the in-test marker stays exempt from staleness.
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() {}\n    // lint: allow(no-panic) — tests may panic\n}\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() {}\n    // lint: allow(determinism) — test fixtures\n}\nfn f(m: HashMap<u8, u8>) {}\n";
         let v = analyze_file(&file("core", src));
         let rules: Vec<&str> = v.iter().map(|x| x.rule.as_str()).collect();
-        assert_eq!(rules, ["no-panic"], "got {v:?}");
+        assert_eq!(rules, ["determinism"], "got {v:?}");
     }
 
     #[test]
@@ -656,7 +634,7 @@ mod tests {
         // The marker sits in non-test code directly above a test region.
         // Rules skip test code, so there is no candidate to waive: the
         // marker is stale and must be reported.
-        let src = "// lint: allow(no-panic) — covers the test below\n#[cfg(test)]\nmod tests {\n    fn t(x: Option<u8>) -> u8 { x.unwrap() }\n}\n";
+        let src = "// lint: allow(determinism) — covers the test below\n#[cfg(test)]\nmod tests {\n    fn t(m: HashMap<u8, u8>) {}\n}\n";
         let v = analyze_file(&file("core", src));
         assert_eq!(v.len(), 1, "got {v:?}");
         assert_eq!(v[0].rule, "marker");
@@ -665,7 +643,7 @@ mod tests {
 
     #[test]
     fn one_report_per_rule_per_line() {
-        let src = "fn f(x: Option<u8>, y: Option<u8>) -> u8 { x.unwrap() + y.unwrap() }\n";
+        let src = "fn f(a: HashMap<u8, u8>, b: HashSet<u8>) {}\n";
         let v = analyze_file(&file("core", src));
         assert_eq!(v.len(), 1);
     }
@@ -706,7 +684,7 @@ mod tests {
 
     #[test]
     fn semantic_marker_naming_lint_rule_is_unknown() {
-        let src = "// analyze: allow(no-panic) — wrong family\npub fn f() {}\n";
+        let src = "// analyze: allow(float-eq) — wrong family\npub fn f() {}\n";
         let r = analyze_semantic_files(&[file("core", src)]);
         assert_eq!(r.violations.len(), 1);
         assert!(r.violations[0].message.contains("unknown rule"));

@@ -14,7 +14,7 @@
 //!   the `fn` item it precedes ([`SourceFile::budgets`]).
 
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -147,12 +147,6 @@ impl SourceFile {
             .find(|f| f.line == line || f.line == line + 1)
     }
 
-    /// True for sources that build into binaries (`src/bin/**`, `main.rs`),
-    /// where printing is the point.
-    pub fn is_binary_source(&self) -> bool {
-        is_binary_source(&self.path)
-    }
-
     /// True when two significant positions hold contiguous tokens (no
     /// whitespace between them), e.g. the two `=` of `==`.
     pub fn contiguous(&self, a: usize, b: usize) -> bool {
@@ -169,22 +163,6 @@ impl SourceFile {
             .filter(|f| f.body.contains(&i))
             .min_by_key(|f| f.body.len())
     }
-}
-
-/// True for `src/bin/**` files and crate-root `main.rs`.
-pub fn is_binary_source(path: &Path) -> bool {
-    if path.file_name().is_some_and(|n| n == "main.rs") {
-        return true;
-    }
-    let mut prev: Option<&std::ffi::OsStr> = None;
-    for c in path.components().rev().skip(1) {
-        let name = c.as_os_str();
-        if name == "src" && prev.is_some_and(|p| p == "bin") {
-            return true;
-        }
-        prev = Some(name);
-    }
-    false
 }
 
 /// Parses an allow marker out of a comment body, if present. Only plain
@@ -493,10 +471,10 @@ mod tests {
 
     #[test]
     fn markers_attach_and_doc_comments_do_not() {
-        let src = "// lint: allow(no-panic) — fine here\nfn a() {}\n/// lint: allow(no-print) — doc example\nfn b() {}\n";
+        let src = "// lint: allow(determinism) — fine here\nfn a() {}\n/// lint: allow(float-eq) — doc example\nfn b() {}\n";
         let f = file(src);
         assert_eq!(f.markers.len(), 1);
-        assert_eq!(f.markers[0].rule, "no-panic");
+        assert_eq!(f.markers[0].rule, "determinism");
         assert!(f.markers[0].has_reason);
         assert_eq!(f.markers[0].line, 1);
     }
@@ -594,14 +572,6 @@ mod tests {
         let f = file("type Cb = fn(usize) -> bool;\nfn real() {}\n");
         assert_eq!(f.fns.len(), 1);
         assert_eq!(f.fns[0].name, "real");
-    }
-
-    #[test]
-    fn binary_sources_are_recognised() {
-        assert!(is_binary_source(Path::new("crates/cli/src/main.rs")));
-        assert!(is_binary_source(Path::new("crates/bench/src/bin/t2.rs")));
-        assert!(is_binary_source(Path::new("crates/bench/src/bin/x/y.rs")));
-        assert!(!is_binary_source(Path::new("crates/cli/src/commands.rs")));
     }
 
     #[test]

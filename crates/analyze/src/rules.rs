@@ -1,4 +1,6 @@
-//! The nine workspace rules, re-hosted on token streams.
+//! The five repo-specific workspace rules, on token streams. The generic
+//! panic, cast, print and doc rules are clippy/rustc lints, denied per
+//! crate root (see DESIGN.md §5a).
 //!
 //! Rules emit **candidates** — every site that matches, with no marker
 //! filtering. The engine in `lib.rs` subtracts `// lint: allow` markers
@@ -8,22 +10,6 @@
 use crate::lexer::TokenKind;
 use crate::model::SourceFile;
 use crate::schema::EMISSION_FNS;
-
-/// Library crates whose non-test code must be panic-free.
-pub const PANIC_FREE_CRATES: &[&str] = &[
-    "core",
-    "tree",
-    "graph",
-    "geom",
-    "steiner",
-    "io",
-    "instances",
-    "router",
-    "clock",
-    "obs",
-    "cli",
-    "serve",
-];
 
 /// Crates whose raw float comparisons must go through `geom`'s tolerance
 /// helpers. `geom` itself hosts those helpers and is exempt.
@@ -37,29 +23,6 @@ pub const FLOAT_EQ_CRATES: &[&str] = &[
     "router",
     "clock",
     "obs",
-    "serve",
-];
-
-/// Crates whose whole `pub` surface must carry doc comments.
-pub const DOC_CRATES: &[&str] = &["core", "tree", "graph", "geom", "obs"];
-
-/// Algorithm crates where `as usize` / `as f64` casts need justification.
-pub const CAST_CRATES: &[&str] = &["core", "tree", "graph", "obs"];
-
-/// Crates whose library sources must not print to stdout/stderr.
-pub const PRINT_FREE_CRATES: &[&str] = &[
-    "core",
-    "tree",
-    "graph",
-    "geom",
-    "steiner",
-    "io",
-    "instances",
-    "router",
-    "clock",
-    "obs",
-    "cli",
-    "bench",
     "serve",
 ];
 
@@ -113,11 +76,7 @@ pub const ALL_CRATES: &[&str] = &[
 
 /// Every rule name an allow marker may reference.
 pub const KNOWN_RULES: &[&str] = &[
-    "no-panic",
     "float-eq",
-    "doc-pub",
-    "no-as-cast",
-    "no-print",
     "determinism",
     "error-taxonomy",
     "obs-schema",
@@ -182,20 +141,8 @@ pub struct Candidate {
 pub fn candidates(file: &SourceFile) -> Vec<Candidate> {
     let krate = file.crate_name.as_str();
     let mut out = Vec::new();
-    if PANIC_FREE_CRATES.contains(&krate) {
-        no_panic(file, &mut out);
-    }
     if FLOAT_EQ_CRATES.contains(&krate) {
         float_eq(file, &mut out);
-    }
-    if DOC_CRATES.contains(&krate) {
-        doc_pub(file, &mut out);
-    }
-    if CAST_CRATES.contains(&krate) {
-        as_cast(file, &mut out);
-    }
-    if PRINT_FREE_CRATES.contains(&krate) && !file.is_binary_source() {
-        no_print(file, &mut out);
     }
     if DETERMINISM_CRATES.contains(&krate) {
         determinism(file, &mut out);
@@ -219,64 +166,12 @@ pub fn candidates(file: &SourceFile) -> Vec<Candidate> {
 pub fn rule_in_scope(file: &SourceFile, rule: &str) -> bool {
     let krate = file.crate_name.as_str();
     match rule {
-        "no-panic" => PANIC_FREE_CRATES.contains(&krate),
         "float-eq" => FLOAT_EQ_CRATES.contains(&krate),
-        "doc-pub" => DOC_CRATES.contains(&krate),
-        "no-as-cast" => CAST_CRATES.contains(&krate),
-        "no-print" => PRINT_FREE_CRATES.contains(&krate) && !file.is_binary_source(),
         "determinism" => DETERMINISM_CRATES.contains(&krate),
         "error-taxonomy" => ERROR_TAXONOMY_CRATES.contains(&krate),
         "obs-schema" => OBS_SCHEMA_CRATES.contains(&krate),
         "concurrency" => CONCURRENCY_CRATES.contains(&krate),
         _ => false,
-    }
-}
-
-/// Macros forbidden by `no-panic`.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-fn no_panic(file: &SourceFile, out: &mut Vec<Candidate>) {
-    for i in 0..file.sig.len() {
-        if file.sig_in_test(i) {
-            continue;
-        }
-        let Some(t) = file.s(i) else { continue };
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let prev_dot = i > 0 && file.s(i - 1).is_some_and(|p| p.is_punct('.'));
-        let shown = match t.ident_name() {
-            "unwrap"
-                if prev_dot
-                    && file.s(i + 1).is_some_and(|n| n.is_punct('('))
-                    && file.s(i + 2).is_some_and(|n| n.is_punct(')')) =>
-            {
-                ".unwrap()"
-            }
-            "expect" if prev_dot && file.s(i + 1).is_some_and(|n| n.is_punct('(')) => ".expect(..)",
-            name if PANIC_MACROS.contains(&name)
-                && file.s(i + 1).is_some_and(|n| n.is_punct('!'))
-                && file
-                    .s(i + 2)
-                    .is_some_and(|n| matches!(n.kind, TokenKind::Punct('(' | '[' | '{'))) =>
-            {
-                match name {
-                    "panic" => "panic!",
-                    "unreachable" => "unreachable!",
-                    "todo" => "todo!",
-                    _ => "unimplemented!",
-                }
-            }
-            _ => continue,
-        };
-        out.push(Candidate {
-            line: t.line,
-            rule: "no-panic",
-            message: format!(
-                "{shown} in non-test library code; propagate an error or annotate with \
-                 `// lint: allow(no-panic) — <reason>`"
-            ),
-        });
     }
 }
 
@@ -370,156 +265,6 @@ fn float_eq(file: &SourceFile, out: &mut Vec<Candidate>) {
                 ),
             });
         }
-    }
-}
-
-/// Item keywords that require a doc comment when `pub`.
-const DOC_ITEM_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union", "unsafe",
-];
-
-/// Keywords to hop over when looking for the item's name.
-const ITEM_MODIFIERS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union", "unsafe", "async",
-    "extern", "mut",
-];
-
-fn doc_pub(file: &SourceFile, out: &mut Vec<Candidate>) {
-    for i in 0..file.sig.len() {
-        if file.sig_in_test(i) {
-            continue;
-        }
-        let Some(t) = file.s(i) else { continue };
-        if !t.is_ident("pub") {
-            continue;
-        }
-        let Some(next) = file.s(i + 1) else { continue };
-        // `pub(crate)` / `pub(super)` are not public API; `pub use`
-        // re-exports inherit the source item's docs.
-        if next.is_punct('(') || next.is_ident("use") {
-            continue;
-        }
-        if !(next.kind == TokenKind::Ident && DOC_ITEM_KEYWORDS.contains(&next.text.as_str())) {
-            continue;
-        }
-        if is_documented(file, file.sig[i]) {
-            continue;
-        }
-        // The item's name: first ident after the modifier keywords.
-        let name = (i + 1..file.sig.len().min(i + 8))
-            .filter_map(|j| file.s(j))
-            .find(|t| t.kind == TokenKind::Ident && !ITEM_MODIFIERS.contains(&t.text.as_str()))
-            .map_or_else(|| "<unnamed>".to_owned(), |t| t.text.clone());
-        out.push(Candidate {
-            line: t.line,
-            rule: "doc-pub",
-            message: format!("public item `{name}` lacks a doc comment"),
-        });
-    }
-}
-
-/// Walks raw tokens backwards from `raw_idx` over attributes and plain
-/// comments; true when the nearest documentation-position token is a doc
-/// comment (or a `#[doc...]` attribute).
-fn is_documented(file: &SourceFile, raw_idx: usize) -> bool {
-    let mut j = raw_idx;
-    while j > 0 {
-        j -= 1;
-        let t = &file.tokens[j];
-        match t.kind {
-            TokenKind::LineComment => {
-                if t.text.starts_with("///") {
-                    return true;
-                }
-                // Plain `//` comments (markers among them) are transparent.
-            }
-            TokenKind::BlockComment => {
-                if t.text.starts_with("/**") {
-                    return true;
-                }
-            }
-            TokenKind::Punct(']') => {
-                // Skip an attribute `#[...]`, watching for `#[doc ...]`.
-                let mut depth = 1i32;
-                let mut saw_doc = false;
-                while depth > 0 && j > 0 {
-                    j -= 1;
-                    match &file.tokens[j].kind {
-                        TokenKind::Punct(']') => depth += 1,
-                        TokenKind::Punct('[') => depth -= 1,
-                        TokenKind::Ident if file.tokens[j].text == "doc" => saw_doc = true,
-                        _ => {}
-                    }
-                }
-                if saw_doc {
-                    return true;
-                }
-                // Consume the attribute's `#`.
-                if j > 0 && file.tokens[j - 1].is_punct('#') {
-                    j -= 1;
-                } else {
-                    return false; // `]` that wasn't an attribute: give up
-                }
-            }
-            _ => return false,
-        }
-    }
-    false
-}
-
-fn as_cast(file: &SourceFile, out: &mut Vec<Candidate>) {
-    for i in 0..file.sig.len() {
-        if file.sig_in_test(i) {
-            continue;
-        }
-        let Some(t) = file.s(i) else { continue };
-        if !t.is_ident("as") {
-            continue;
-        }
-        let Some(target) = file.s(i + 1) else {
-            continue;
-        };
-        if target.is_ident("usize") || target.is_ident("f64") {
-            out.push(Candidate {
-                line: t.line,
-                rule: "no-as-cast",
-                message: format!(
-                    "`as {}` cast in algorithm crate; use From/TryFrom/f64::from or annotate \
-                     with `// lint: allow(no-as-cast) — <reason>`",
-                    target.text
-                ),
-            });
-        }
-    }
-}
-
-/// Macros forbidden by `no-print`.
-const PRINT_MACROS: &[&str] = &["println", "eprintln", "dbg"];
-
-fn no_print(file: &SourceFile, out: &mut Vec<Candidate>) {
-    for i in 0..file.sig.len() {
-        if file.sig_in_test(i) {
-            continue;
-        }
-        let Some(t) = file.s(i) else { continue };
-        if !(t.kind == TokenKind::Ident && PRINT_MACROS.contains(&t.ident_name())) {
-            continue;
-        }
-        if !file.s(i + 1).is_some_and(|n| n.is_punct('!')) {
-            continue;
-        }
-        if i > 0 && file.s(i - 1).is_some_and(|p| p.is_punct(':')) {
-            continue; // qualified path such as `std::println!`
-        }
-        out.push(Candidate {
-            line: t.line,
-            rule: "no-print",
-            message: format!(
-                "{}! in library code; return the text to the caller, record it through \
-                 bmst-obs, or annotate with `// lint: allow(no-print) — <reason>`",
-                t.text
-            ),
-        });
     }
 }
 
@@ -782,32 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn no_panic_catches_split_macro_and_skips_doc_examples() {
-        // `panic!` with its argument list on the following line.
-        let v = candidates_in(
-            "core",
-            "fn f() {\n    panic!(\n        \"boom\"\n    );\n}\n",
-        );
-        assert_eq!(rules_of(&v), ["no-panic"]);
-        assert_eq!(v[0].line, 2);
-        // The same text inside a doc-comment example must not fire.
-        let v = candidates_in(
-            "core",
-            "/// ```\n/// x.unwrap();\n/// panic!(\"no\");\n/// ```\nfn f() {}\n",
-        );
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn no_panic_ignores_strings_and_unwrap_or() {
-        let v = candidates_in(
-            "core",
-            "fn f(x: Option<u8>) -> u8 {\n    let _m = \"panic!(no) .unwrap()\";\n    x.unwrap_or(0)\n}\n",
-        );
-        assert!(v.is_empty());
-    }
-
-    #[test]
     fn float_eq_on_literals_and_consts_only() {
         assert_eq!(
             rules_of(&candidates_in(
@@ -833,49 +552,6 @@ mod tests {
         assert!(candidates_in("core", "fn f(n: usize) -> bool { n == 0 }\n").is_empty());
         assert!(candidates_in("core", "fn f(n: usize) { for _ in 0..n {} }\n").is_empty());
         assert!(candidates_in("core", "fn f(x: f64, y: f64) -> bool { x <= y }\n").is_empty());
-    }
-
-    #[test]
-    fn doc_pub_sees_through_attributes_and_plain_comments() {
-        let src = "/// Documented.\n#[derive(Debug)]\npub struct A;\n\npub struct B;\n";
-        let v = candidates_in("tree", src);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains('B'));
-        // A plain comment between the doc and the item stays transparent.
-        let src = "/// Doc.\n// plain note\npub fn c() {}\n";
-        assert!(candidates_in("tree", src).is_empty());
-    }
-
-    #[test]
-    fn doc_pub_exempts_restricted_and_use() {
-        let src = "pub(crate) fn a() {}\npub use other::Thing;\n";
-        assert!(candidates_in("tree", src).is_empty());
-    }
-
-    #[test]
-    fn as_cast_flags_only_target_types() {
-        assert_eq!(
-            rules_of(&candidates_in(
-                "tree",
-                "fn f(n: u32) -> usize { n as usize }\n"
-            )),
-            ["no-as-cast"]
-        );
-        assert!(candidates_in("tree", "fn f(n: u32) -> u64 { u64::from(n) }\n").is_empty());
-        assert!(candidates_in("tree", "fn f(n: u8) -> u32 { n as u32 }\n").is_empty());
-    }
-
-    #[test]
-    fn no_print_flags_macros_not_writeln() {
-        assert_eq!(
-            rules_of(&candidates_in("io", "fn f() { println!(\"x\"); }\n")),
-            ["no-print"]
-        );
-        assert!(candidates_in(
-            "io",
-            "fn f(w: &mut String) { let _ = writeln!(w, \"x\"); }\n"
-        )
-        .is_empty());
     }
 
     #[test]

@@ -37,31 +37,6 @@ fn expect_rules(name: &str, crate_name: &str, expected: &[&str]) {
 // ---- corpus: one violating / clean / allowed triple per rule ----
 
 #[test]
-fn no_panic_corpus() {
-    // Includes the two regex-era regressions: a `panic!` split across
-    // lines (previously missed) and panic vocabulary inside doc-comment
-    // examples and strings (previously falsely flagged).
-    expect_rules(
-        "no_panic_violating.rs",
-        "core",
-        &["no-panic", "no-panic", "no-panic", "no-panic"],
-    );
-    expect_rules("no_panic_clean.rs", "core", &[]);
-    expect_rules("no_panic_allowed.rs", "core", &[]);
-}
-
-#[test]
-fn no_panic_split_macro_line_is_reported_at_the_macro() {
-    let violations = analyze_fixture("no_panic_violating.rs", "core");
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.line == 5 && v.message.contains("panic!")),
-        "split panic! reported at its own line: {violations:#?}"
-    );
-}
-
-#[test]
 fn float_eq_corpus() {
     expect_rules(
         "float_eq_violating.rs",
@@ -70,53 +45,6 @@ fn float_eq_corpus() {
     );
     expect_rules("float_eq_clean.rs", "core", &[]);
     expect_rules("float_eq_allowed.rs", "core", &[]);
-}
-
-#[test]
-fn doc_pub_corpus() {
-    expect_rules(
-        "doc_pub_violating.rs",
-        "tree",
-        &["doc-pub", "doc-pub", "doc-pub"],
-    );
-    expect_rules("doc_pub_clean.rs", "tree", &[]);
-    expect_rules("doc_pub_allowed.rs", "tree", &[]);
-}
-
-#[test]
-fn no_as_cast_corpus() {
-    expect_rules(
-        "no_as_cast_violating.rs",
-        "tree",
-        &["no-as-cast", "no-as-cast"],
-    );
-    expect_rules("no_as_cast_clean.rs", "tree", &[]);
-    expect_rules("no_as_cast_allowed.rs", "tree", &[]);
-}
-
-#[test]
-fn no_print_corpus() {
-    expect_rules(
-        "no_print_violating.rs",
-        "io",
-        &["no-print", "no-print", "no-print"],
-    );
-    expect_rules("no_print_clean.rs", "io", &[]);
-    expect_rules("no_print_allowed.rs", "io", &[]);
-}
-
-#[test]
-fn no_print_is_waived_for_binary_sources() {
-    // The same violating text is fine when the file builds into a binary.
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/no_print_violating.rs");
-    let text = std::fs::read_to_string(&path).unwrap();
-    let file = SourceFile::new(
-        PathBuf::from("crates/io/src/bin/tool.rs"),
-        "io".to_owned(),
-        &text,
-    );
-    assert!(analyze_file(&file).is_empty());
 }
 
 #[test]
@@ -176,10 +104,10 @@ fn concurrency_corpus() {
 
 #[test]
 fn raw_identifiers_cannot_evade_rules() {
-    // `.r#unwrap()` is the same call as `.unwrap()`; raw-identifier
-    // spelling must not slip past no-panic, while `r#type`/`r#match`
-    // used as ordinary bindings stay clean.
-    expect_rules("lexer_raw_ident.rs", "core", &["no-panic"]);
+    // `r#HashMap` is the same type as `HashMap`; raw-identifier spelling
+    // must not slip past determinism, while `r#type`/`r#match` used as
+    // ordinary bindings stay clean.
+    expect_rules("lexer_raw_ident.rs", "core", &["determinism"]);
 }
 
 #[test]
@@ -191,12 +119,12 @@ fn shebang_files_lex_cleanly() {
 
 #[test]
 fn rules_respect_crate_scopes() {
-    // `bench` is outside every scope exercised here except no-print and
-    // obs-schema; the panic/float/cast/determinism fixtures are silent.
-    expect_rules("no_panic_violating.rs", "bench", &[]);
+    // `bench` is outside every scope exercised here except obs-schema;
+    // the float/determinism/taxonomy/concurrency fixtures are silent.
     expect_rules("float_eq_violating.rs", "bench", &[]);
-    expect_rules("no_as_cast_violating.rs", "bench", &[]);
     expect_rules("determinism_violating.rs", "bench", &[]);
+    expect_rules("lexer_raw_ident.rs", "bench", &[]);
+    expect_rules("error_taxonomy_violating.rs", "bench", &[]);
     expect_rules("concurrency_violating.rs", "bench", &[]);
     // `geom` hosts the tolerance helpers and is exempt from float-eq.
     expect_rules("float_eq_violating.rs", "geom", &[]);

@@ -1,10 +1,10 @@
 //! lexer regression fixture: raw identifiers must compare by name, so
-//! `.r#unwrap()` cannot evade the no-panic rule, while `r#type` used as
+//! `r#HashMap` cannot evade the determinism rule, while `r#type` used as
 //! an ordinary field/binding lexes cleanly.
 
-/// `r#unwrap` is the same method as `unwrap`; the rule must see it.
-pub fn sneaky(x: Option<u8>) -> u8 {
-    x.r#unwrap()
+/// `r#HashMap` is the same type as `HashMap`; the rule must see it.
+pub fn sneaky(m: &std::collections::r#HashMap<u8, u8>) -> usize {
+    m.len()
 }
 
 /// Raw identifiers as bindings are ordinary code.

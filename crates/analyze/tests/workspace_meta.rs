@@ -1,5 +1,5 @@
 //! Meta-test: the live workspace itself must be violation-free under the
-//! full engine — all nine rules plus the `events.toml` round-trip. This is
+//! full engine — all five rules plus the `events.toml` round-trip. This is
 //! the same check `cargo xtask lint` runs in CI, executed here so plain
 //! `cargo test` catches a regression even when the lint gate is skipped.
 

@@ -5,7 +5,8 @@
 //! sweeps the paper uses, and plain-text table rendering.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Lint scopes: DESIGN.md §5a. Waive one site with `#[expect(<lint>, reason = "...")]`.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod emit;
 

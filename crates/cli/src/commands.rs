@@ -235,6 +235,10 @@ fn algorithms() -> String {
 /// is returned for `main` to print after shutdown; the listening line is
 /// printed live because clients need the resolved port while the server
 /// blocks in `run`.
+#[expect(
+    clippy::print_stdout,
+    reason = "live announcement of the resolved port; run() blocks until shutdown"
+)]
 fn serve(args: &ServeArgs) -> Result<String, CliError> {
     let server = bmst_serve::Server::bind(bmst_serve::ServeConfig {
         addr: args.addr.clone(),
@@ -247,7 +251,6 @@ fn serve(args: &ServeArgs) -> Result<String, CliError> {
     })
     .map_err(|e| CliError::new(e.to_string()))?;
     bmst_serve::signal::install();
-    // lint: allow(no-print) — live announcement of the resolved port; run() blocks until shutdown
     println!("listening on {}", server.local_addr());
     let _ = std::io::Write::flush(&mut std::io::stdout());
     let summary = server.run().map_err(|e| CliError::new(e.to_string()))?;

@@ -125,7 +125,11 @@ fn walk_l_path(a: Point, b: Point, d: f64) -> Point {
 /// assert!(zst.skew() < 1e-9);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[allow(clippy::expect_used)] // construction invariants, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "a one-node tree is trivially valid, and embed() emits one edge per merge, \
+              which is a tree by induction"
+)]
 pub fn zero_skew_tree(net: &Net) -> ZeroSkewTree {
     let n = net.len();
     let source = net.source();
@@ -133,7 +137,6 @@ pub fn zero_skew_tree(net: &Net) -> ZeroSkewTree {
     let mut edges: Vec<Edge> = Vec::new();
 
     if net.num_sinks() == 0 {
-        // lint: allow(no-panic) — a one-node tree with no edges is trivially valid
         let tree = RoutingTree::from_edges(1, source, []).expect("single node");
         return ZeroSkewTree {
             tree,
@@ -153,9 +156,8 @@ pub fn zero_skew_tree(net: &Net) -> ZeroSkewTree {
         edges.push(Edge::new(source, top.node, trunk.max(f64::MIN_POSITIVE)));
     }
 
-    let tree = RoutingTree::from_edges(points.len(), source, edges)
-        // lint: allow(no-panic) — embed() emits one edge per merge, which is a tree by induction
-        .expect("bottom-up merges form a tree");
+    let tree =
+        RoutingTree::from_edges(points.len(), source, edges).expect("bottom-up merges form a tree");
     ZeroSkewTree {
         tree,
         points,

@@ -42,7 +42,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Lint scopes: DESIGN.md §5a. Waive one site with `#[expect(<lint>, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod dme;
 mod topology;

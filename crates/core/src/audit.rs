@@ -46,8 +46,11 @@ pub fn audit_construction(
 #[inline]
 pub(crate) fn debug_audit(net: &Net, tree: &RoutingTree, constraint: Option<&PathConstraint>) {
     #[cfg(debug_assertions)]
+    #[expect(
+        clippy::panic,
+        reason = "debug-only invariant check; a failed audit is a construction bug"
+    )]
     if let Err(violation) = audit_construction(net, tree, constraint) {
-        // lint: allow(no-panic) — debug-only invariant check; a failed audit is a construction bug
         panic!("construction audit failed: {violation}");
     }
     #[cfg(not(debug_assertions))]

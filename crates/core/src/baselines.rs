@@ -41,12 +41,11 @@ pub fn mst_tree(net: &Net) -> RoutingTree {
 /// one, the metric directly otherwise — so a baseline ratio report never
 /// forces the O(n²) matrix onto a sparse-supply run. Either way the bits
 /// (and the tree) are identical.
-#[allow(clippy::expect_used)] // construction invariant, justified inline
+#[expect(clippy::expect_used, reason = "Prim on a complete graph always spans")]
 pub(crate) fn mst_tree_cx(cx: &ProblemContext<'_>) -> RoutingTree {
     let net = cx.net();
     let edges = prim_mst_with(net.len(), net.source(), |i, j| cx.dist(i, j));
     let tree = RoutingTree::from_edges(net.len(), net.source(), edges)
-        // lint: allow(no-panic) — Prim on a complete graph always spans
         .expect("Prim's algorithm produces a spanning tree");
     crate::audit::debug_audit(net, &tree, None);
     tree
@@ -59,11 +58,13 @@ pub(crate) fn mst_tree_cx(cx: &ProblemContext<'_>) -> RoutingTree {
 /// path (triangle inequality), so the SPT is the star centred at the source.
 /// Its radius `R` is minimal among all spanning trees, and its cost is the
 /// worst of all the constructions considered in the paper (Figure 11).
-#[allow(clippy::expect_used)] // construction invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "a star over every sink is a spanning tree by construction"
+)]
 pub fn spt_tree(net: &Net) -> RoutingTree {
     let s = net.source();
     let edges = net.sinks().map(|v| Edge::new(s, v, net.dist(s, v)));
-    // lint: allow(no-panic) — a star over every sink is a spanning tree by construction
     let tree = RoutingTree::from_edges(net.len(), s, edges).expect("a star is a spanning tree");
     crate::audit::debug_audit(net, &tree, None);
     tree
@@ -74,8 +75,11 @@ pub fn spt_tree(net: &Net) -> RoutingTree {
 ///
 /// It appears at the top of the paper's routing-cost chart (Figure 11) as
 /// the cost ceiling. Computed by running Prim on negated weights.
-#[allow(clippy::expect_used)] // construction invariant, justified inline
-                              // analyze: complexity(n^2)
+#[expect(
+    clippy::expect_used,
+    reason = "max-Prim on a complete graph always spans"
+)]
+// analyze: complexity(n^2)
 pub fn maximal_spanning_tree(net: &Net) -> RoutingTree {
     let n = net.len();
     let s = net.source();
@@ -110,7 +114,6 @@ pub fn maximal_spanning_tree(net: &Net) -> RoutingTree {
             }
         }
     }
-    // lint: allow(no-panic) — max-Prim on a complete graph always spans
     let tree = RoutingTree::from_edges(n, s, edges).expect("Prim produces a spanning tree");
     crate::audit::debug_audit(net, &tree, None);
     tree

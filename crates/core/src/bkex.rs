@@ -185,8 +185,12 @@ pub(crate) fn exchange(
 /// One level of the paper's `DFS_EXCHANGE(T, weight_sum)`. Returns a
 /// feasible tree strictly cheaper than the iteration's root, if one is
 /// reachable through negative-prefix exchange sequences from `tree`.
-#[allow(clippy::expect_used)] // cycle-walk invariants, justified inline
-                              // analyze: complexity(n^3) analyze: allow(cancel-liveness) — depth-bounded by max_depth; exchange polls between committed rounds
+#[expect(
+    clippy::expect_used,
+    reason = "(x, y) closes the cycle through v, so the exchange reconnects; \
+              the walk exits at the LCA before v can reach the root"
+)]
+// analyze: complexity(n^3) analyze: allow(cancel-liveness) — depth-bounded by max_depth; exchange polls between committed rounds
 fn dfs_exchange(
     net: &Net,
     d: &bmst_geom::DistanceMatrix,
@@ -230,7 +234,6 @@ fn dfs_exchange(
                 if weight_sum + diff < -EPS_TOL {
                     let candidate = tree
                         .apply_exchange(v, Edge::new(x, y, add_w))
-                        // lint: allow(no-panic) — (x, y) closes the cycle through v, so the exchange reconnects
                         .expect("cycle edges always reconnect");
                     if feasible(&candidate) {
                         return Some(candidate);
@@ -247,7 +250,6 @@ fn dfs_exchange(
                         return Some(found);
                     }
                 }
-                // lint: allow(no-panic) — the loop exits at the LCA before v can reach the root
                 v = tree.parent(v).expect("walk stops at the common ancestor");
             }
         }

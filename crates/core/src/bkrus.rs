@@ -215,7 +215,7 @@ fn lower_bound_ok(forest: &mut KruskalForest, u: usize, v: usize, w: f64, lower:
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
+    #![allow(clippy::float_cmp, clippy::as_conversions)] // tests compare exact floats and cast
     use super::*;
     use crate::mst_tree;
     use bmst_geom::Point;

@@ -52,7 +52,10 @@ pub fn brbc(net: &Net, eps: f64) -> Result<RoutingTree, BmstError> {
 
 /// Context-based BRBC driver; the shortcut trigger uses the context's raw
 /// `eps`, the audit its validated constraint.
-#[allow(clippy::expect_used)] // connectivity invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "Q contains the MST edges, so every node is reachable"
+)]
 pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
     let net = cx.net();
     let eps = cx.eps();
@@ -126,7 +129,6 @@ pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
     // Final tree: shortest path tree of Q from the source.
     let sp = dijkstra(&q, s);
     let edges = (0..n).filter(|&v| v != s).map(|v| {
-        // lint: allow(no-panic) — Q contains the MST edges, so every node is reachable
         let p = sp.parent[v].expect("Q contains the MST, so it is connected");
         Edge::new(p, v, sp.dist[v] - sp.dist[p])
     });

@@ -402,7 +402,7 @@ impl std::fmt::Debug for ProblemContext<'_> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
+    #![allow(clippy::float_cmp, clippy::as_conversions)] // tests compare exact floats and cast
     use super::*;
     use bmst_geom::Point;
 

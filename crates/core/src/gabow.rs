@@ -266,7 +266,7 @@ pub(crate) fn run(cx: &ProblemContext<'_>, config: GabowConfig) -> Result<GabowO
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
+    #![allow(clippy::float_cmp, clippy::as_conversions)] // tests compare exact floats and cast
     use super::*;
     use crate::{bkrus, mst_tree, spt_tree};
     use bmst_geom::Point;

@@ -229,7 +229,7 @@ impl Iterator for SparseEdgeStream<'_> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
+    #![allow(clippy::float_cmp, clippy::as_conversions)] // tests compare exact floats and cast
     use super::*;
     use bmst_geom::{Net, Point};
 
@@ -241,8 +241,6 @@ mod tests {
                     state = state
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    #[allow(clippy::cast_precision_loss)]
-                    // lint: allow(no-as-cast) — test-only pseudo-random scatter
                     let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
                     unit * 100.0
                 };

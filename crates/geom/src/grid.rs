@@ -73,7 +73,6 @@ impl<'a> NeighborIndex<'a> {
             hi: Point::ORIGIN,
         });
         let (w, h) = (bb.width(), bb.height());
-        #[allow(clippy::cast_precision_loss)]
         let count = points.len().max(1) as f64;
         let area_cell = (w * h / count).sqrt();
         let line_cell = w.max(h) / count;
@@ -86,7 +85,6 @@ impl<'a> NeighborIndex<'a> {
         // (e.g. a thin-but-not-flat strip); coarsen once to respect it.
         let cap = points.len().saturating_mul(MAX_CELLS_PER_POINT).max(16);
         if cols.saturating_mul(rows) > cap {
-            #[allow(clippy::cast_precision_loss)]
             let ratio = (cols * rows) as f64 / cap as f64;
             cell *= ratio.sqrt().max(1.0);
             (cols, rows) = Self::grid_dims(w, h, cell);
@@ -123,14 +121,20 @@ impl<'a> NeighborIndex<'a> {
     }
 
     fn grid_dims(w: f64, h: f64, cell: f64) -> (usize, usize) {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "non-negative, capped cell counts"
+        )]
         let dim = |extent: f64| ((extent / cell).floor() as usize).saturating_add(1);
         (dim(w), dim(h))
     }
 
     /// Column/row of a point, clamped into the grid.
     fn cell_coords(&self, p: Point) -> (usize, usize) {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "floored at 0, clamped into the grid"
+        )]
         let clamp = |delta: f64, limit: usize| {
             let raw = (delta / self.cell).floor().max(0.0) as usize;
             raw.min(limit - 1)
@@ -259,7 +263,6 @@ mod tests {
                     state = state
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    #[allow(clippy::cast_precision_loss)]
                     let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
                     unit * span
                 };
@@ -311,12 +314,7 @@ mod tests {
     fn collinear_points_stay_output_sensitive() {
         // A purely horizontal layout has a zero-area bounding box; the
         // linear fallback must still spread it over ~n cells.
-        let pts: Vec<Point> = (0..200)
-            .map(|i| {
-                #[allow(clippy::cast_precision_loss)]
-                Point::new(i as f64, 7.0)
-            })
-            .collect();
+        let pts: Vec<Point> = (0..200).map(|i| Point::new(i as f64, 7.0)).collect();
         let index = NeighborIndex::new(&pts, Metric::L1);
         assert!(index.cols >= 100, "cols = {}", index.cols);
         assert_eq!(
@@ -363,10 +361,7 @@ mod tests {
     fn cell_cap_bounds_grid_size() {
         // A thin strip: without the cap the grid would be enormously wide.
         let pts: Vec<Point> = (0..64)
-            .map(|i| {
-                #[allow(clippy::cast_precision_loss)]
-                Point::new(1e6 * i as f64, (i % 2) as f64)
-            })
+            .map(|i| Point::new(1e6 * i as f64, (i % 2) as f64))
             .collect();
         let index = NeighborIndex::new(&pts, Metric::L1);
         assert!(index.cols * index.rows <= 64 * MAX_CELLS_PER_POINT + 16);

@@ -223,9 +223,11 @@ impl Net {
     /// # Panics
     ///
     /// Never panics for a constructed `Net` (nets are non-empty).
-    #[allow(clippy::expect_used)] // non-emptiness invariant, justified inline
+    #[expect(
+        clippy::expect_used,
+        reason = "Net constructors reject empty point sets"
+    )]
     pub fn bounding_box(&self) -> BoundingBox {
-        // lint: allow(no-panic) — Net constructors reject empty point sets
         BoundingBox::of(self.points.iter().copied()).expect("nets are non-empty")
     }
 

@@ -62,13 +62,13 @@ impl Edge {
     ///
     /// Panics if `node` is not an endpoint of this edge.
     #[inline]
+    #[expect(clippy::panic, reason = "misuse of a documented `# Panics` contract")]
     pub fn other(&self, node: usize) -> usize {
         if node == self.u {
             self.v
         } else if node == self.v {
             self.u
         } else {
-            // lint: allow(no-panic) — misuse of a documented `# Panics` contract
             panic!(
                 "node {node} is not an endpoint of edge ({}, {})",
                 self.u, self.v

@@ -194,7 +194,7 @@ impl Iterator for SpanningTreeEnumerator {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
+    #![allow(clippy::float_cmp, clippy::as_conversions)] // tests compare exact floats and cast
     use super::*;
     use crate::complete_edges;
     use bmst_geom::{DistanceMatrix, Metric, Point};

@@ -181,7 +181,7 @@ pub fn mst_cost(d: &DistanceMatrix) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)] // tests may panic and compare exact floats
+    #![allow(clippy::float_cmp, clippy::as_conversions)] // tests compare exact floats and cast
     use super::*;
     use crate::{complete_edges, tree_cost};
     use bmst_geom::{Metric, Point};

@@ -62,8 +62,6 @@ impl ScaleStyle {
 /// Die side for `n` sinks: `10 * sqrt(n)`, clamped to at least 10, so
 /// density stays constant as `n` grows.
 fn die_side(num_sinks: usize) -> f64 {
-    #[allow(clippy::cast_precision_loss)]
-    // lint: allow(no-as-cast) — usize→f64 for geometry sizing; exact below 2^53
     let n = num_sinks.max(1) as f64;
     10.0 * n.sqrt()
 }
@@ -76,7 +74,10 @@ fn die_side(num_sinks: usize) -> f64 {
 /// Never for `num_sinks` in the supported range (the generators draw from
 /// finite ranges); the internal `expect` guards the finite-coordinate
 /// invariant of [`Net::with_source_first`].
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "generators draw from finite ranges, so coordinates are finite"
+)]
 pub fn scaled_net(num_sinks: usize, seed: u64, style: ScaleStyle) -> Net {
     let side = die_side(num_sinks);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5CA1_EDBE_u64.rotate_left(style as u32 * 8));
@@ -95,8 +96,10 @@ pub fn scaled_net(num_sinks: usize, seed: u64, style: ScaleStyle) -> Net {
         ScaleStyle::Clustered => {
             // ~sqrt(n) blobs whose width is ~8% of the die: dense locally,
             // spread globally.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            // lint: allow(no-as-cast) — f64→usize of a sqrt of a small count, always in range
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "f64→usize of a sqrt of a small count, always in range"
+            )]
             let clusters = ((num_sinks.max(1) as f64).sqrt().ceil() as usize).max(1);
             let spread = (side * 0.08).max(1.0);
             let centres: Vec<Point> = (0..clusters)
@@ -118,16 +121,14 @@ pub fn scaled_net(num_sinks: usize, seed: u64, style: ScaleStyle) -> Net {
         ScaleStyle::Grid => {
             // Smallest square lattice with >= n cells; fill row-major and
             // jitter each sink within 30% of the pitch.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            // lint: allow(no-as-cast) — f64→usize of a sqrt of a small count, always in range
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "f64→usize of a sqrt of a small count, always in range"
+            )]
             let cols = ((num_sinks.max(1) as f64).sqrt().ceil() as usize).max(1);
-            #[allow(clippy::cast_precision_loss)]
-            // lint: allow(no-as-cast) — usize→f64 for geometry sizing; exact below 2^53
             let pitch = side / cols as f64;
             let jitter = pitch * 0.3;
             for i in 0..num_sinks {
-                #[allow(clippy::cast_precision_loss)]
-                // lint: allow(no-as-cast) — usize→f64 for geometry sizing; exact below 2^53
                 let (cx, cy) = (
                     ((i % cols) as f64 + 0.5) * pitch,
                     ((i / cols) as f64 + 0.5) * pitch,
@@ -159,7 +160,6 @@ pub fn scaled_net(num_sinks: usize, seed: u64, style: ScaleStyle) -> Net {
             }
         }
     }
-    // lint: allow(no-panic) — generators draw from finite ranges, so coordinates are finite
     Net::with_source_first(pts).expect("generated points are finite")
 }
 

@@ -22,7 +22,10 @@ pub fn p1() -> Net {
 /// # Panics
 ///
 /// Panics if `cluster == 0`.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "coordinates are finite literals/arithmetic on finite inputs"
+)]
 pub fn p1_with_cluster(cluster: usize) -> Net {
     assert!(cluster > 0, "cluster must have at least one sink");
     let mut pts = vec![Point::new(0.0, 0.0)];
@@ -38,7 +41,6 @@ pub fn p1_with_cluster(cluster: usize) -> Net {
         let y = 0.75 * i as f64;
         pts.push(Point::new(r - y, y));
     }
-    // lint: allow(no-panic) — coordinates are finite literals/arithmetic on finite inputs
     Net::with_source_first(pts).expect("constructed points are finite")
 }
 
@@ -72,12 +74,14 @@ fn diamond_point(radius: f64, t: f64) -> (f64, f64) {
 /// The intermediate sink tempts tree-growing heuristics into routing the
 /// cluster through it, consuming the path budget; BKRUS's cluster-first
 /// merging avoids the trap.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "coordinates are finite literals/arithmetic on finite inputs"
+)]
 pub fn p2() -> Net {
     let cluster = p1_with_cluster(6);
     let mut pts = vec![cluster.point(0), Point::new(10.0, 0.0)];
     pts.extend((1..cluster.len()).map(|i| cluster.point(i)));
-    // lint: allow(no-panic) — coordinates are finite literals/arithmetic on finite inputs
     Net::with_source_first(pts).expect("constructed points are finite")
 }
 
@@ -85,7 +89,10 @@ pub fn p2() -> Net {
 /// (`r ~ 6`), and a 5x3 far cluster (`R ~ 16`) where BPRIM's per-node
 /// budget collapses into direct source spokes while BKRUS chains the
 /// cluster.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "coordinates are finite literals/arithmetic on finite inputs"
+)]
 pub fn p3() -> Net {
     // 17 points: the source, a ring of 15 sinks around (9.1, 0) at L1
     // radius 3 (direct distances 6.1 .. 12.1, so r = 6.1), and one far sink
@@ -99,7 +106,6 @@ pub fn p3() -> Net {
         pts.push(Point::new(9.1 + dx, dy));
     }
     pts.push(Point::new(16.0, 0.0));
-    // lint: allow(no-panic) — coordinates are finite literals/arithmetic on finite inputs
     Net::with_source_first(pts).expect("constructed points are finite")
 }
 
@@ -108,7 +114,10 @@ pub fn p3() -> Net {
 ///
 /// "Scattered" uses a deterministic low-discrepancy jitter of the radius so
 /// the instance is reproducible without a random number generator.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "coordinates are finite literals/arithmetic on finite inputs"
+)]
 pub fn p4() -> Net {
     let mut pts = vec![Point::new(0.0, 0.0)];
     for i in 0..30 {
@@ -127,7 +136,6 @@ pub fn p4() -> Net {
         let l1 = c.abs() + s.abs();
         pts.push(Point::new(r * c / l1, r * s / l1));
     }
-    // lint: allow(no-panic) — coordinates are finite literals/arithmetic on finite inputs
     Net::with_source_first(pts).expect("constructed points are finite")
 }
 
@@ -143,7 +151,10 @@ pub fn p4() -> Net {
 /// # Panics
 ///
 /// Panics if `n == 0`.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "coordinates are finite literals/arithmetic on finite inputs"
+)]
 pub fn figure13_family(n: usize) -> Net {
     assert!(n > 0, "family needs at least one sink");
     let radius = 20.4;
@@ -154,7 +165,6 @@ pub fn figure13_family(n: usize) -> Net {
         let (dx, dy) = diamond_point(radius, t);
         pts.push(Point::new(dx, dy));
     }
-    // lint: allow(no-panic) — coordinates are finite literals/arithmetic on finite inputs
     Net::with_source_first(pts).expect("constructed points are finite")
 }
 

@@ -21,7 +21,10 @@ use rand::{Rng, SeedableRng};
 ///
 /// Panics if `clusters == 0` or `sinks_per_cluster == 0`, or if `side` is
 /// not positive and finite.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "generators draw from finite ranges, so coordinates are finite"
+)]
 pub fn clustered_net(clusters: usize, sinks_per_cluster: usize, side: f64, seed: u64) -> Net {
     assert!(
         clusters > 0 && sinks_per_cluster > 0,
@@ -45,7 +48,6 @@ pub fn clustered_net(clusters: usize, sinks_per_cluster: usize, side: f64, seed:
             ));
         }
     }
-    // lint: allow(no-panic) — generators draw from finite ranges, so coordinates are finite
     Net::with_source_first(pts).expect("generated points are finite")
 }
 
@@ -59,7 +61,10 @@ pub fn clustered_net(clusters: usize, sinks_per_cluster: usize, side: f64, seed:
 /// # Panics
 ///
 /// Panics if `rows == 0` or `sinks == 0`, or `side` is not positive/finite.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "generators draw from finite ranges, so coordinates are finite"
+)]
 pub fn row_net(rows: usize, sinks: usize, side: f64, seed: u64) -> Net {
     assert!(rows > 0 && sinks > 0, "need rows and sinks");
     assert!(side.is_finite() && side > 0.0, "die side must be positive");
@@ -71,7 +76,6 @@ pub fn row_net(rows: usize, sinks: usize, side: f64, seed: u64) -> Net {
         let row = rng.gen_range(0..rows);
         pts.push(Point::new(rng.gen_range(0.0..side), row as f64 * row_pitch));
     }
-    // lint: allow(no-panic) — generators draw from finite ranges, so coordinates are finite
     Net::with_source_first(pts).expect("generated points are finite")
 }
 
@@ -81,7 +85,10 @@ pub fn row_net(rows: usize, sinks: usize, side: f64, seed: u64) -> Net {
 /// # Panics
 ///
 /// Panics if `sinks == 0` or `radius` is not positive/finite.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "generators draw from finite ranges, so coordinates are finite"
+)]
 pub fn ring_net(sinks: usize, radius: f64, jitter: f64, seed: u64) -> Net {
     assert!(sinks > 0, "need sinks");
     assert!(
@@ -96,7 +103,6 @@ pub fn ring_net(sinks: usize, radius: f64, jitter: f64, seed: u64) -> Net {
         let r = radius * (1.0 + jitter * rng.gen_range(-1.0..1.0));
         pts.push(Point::new(r * ang.cos(), r * ang.sin()));
     }
-    // lint: allow(no-panic) — generators draw from finite ranges, so coordinates are finite
     Net::with_source_first(pts).expect("generated points are finite")
 }
 

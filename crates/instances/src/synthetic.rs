@@ -16,7 +16,10 @@ use rand::{Rng, SeedableRng};
 /// # Panics
 ///
 /// Panics if `side` is not positive and finite.
-#[allow(clippy::expect_used)] // finite-coordinate invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "generators draw from finite ranges, so coordinates are finite"
+)]
 pub fn uniform_cloud(num_sinks: usize, side: f64, seed: u64) -> Net {
     assert!(
         side.is_finite() && side > 0.0,
@@ -35,7 +38,6 @@ pub fn uniform_cloud(num_sinks: usize, side: f64, seed: u64) -> Net {
             rng.gen_range(0.0..side),
         ));
     }
-    // lint: allow(no-panic) — generators draw from finite ranges, so coordinates are finite
     Net::with_source_first(pts).expect("generated points are finite")
 }
 

@@ -61,7 +61,10 @@ impl Default for SvgOptions {
 /// assert!(doc.contains("<line"));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[allow(clippy::expect_used)] // coverage invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "covered_nodes() always yields at least the root"
+)]
 pub fn render_tree(points: &[Point], tree: &RoutingTree, opts: &SvgOptions) -> String {
     assert!(
         points.len() >= tree.universe(),
@@ -70,9 +73,8 @@ pub fn render_tree(points: &[Point], tree: &RoutingTree, opts: &SvgOptions) -> S
         points.len()
     );
     let covered: Vec<usize> = tree.covered_nodes().collect();
-    let bb = BoundingBox::of(covered.iter().map(|&v| points[v]))
-        // lint: allow(no-panic) — covered_nodes() always yields at least the root
-        .expect("trees cover at least the root");
+    let bb =
+        BoundingBox::of(covered.iter().map(|&v| points[v])).expect("trees cover at least the root");
 
     // Map plane -> pixels. Guard degenerate (single point / collinear) boxes.
     let span_x = bb.width().max(1e-9);

@@ -3,7 +3,7 @@
 //! [`CountingAlloc`] wraps the system allocator and counts, per thread,
 //! how many heap allocations were requested and how many bytes they
 //! asked for. Spans read these counters at entry and exit, and report
-//! the delta to the installed recorder via
+//! the delta to the thread's scoped recorder via
 //! [`Recorder::record_span_alloc`](crate::Recorder::record_span_alloc) —
 //! which is how `--profile` grows `allocs / KiB` columns.
 //!
@@ -72,8 +72,8 @@ pub fn snapshot() -> AllocSnapshot {
 
 fn count(bytes: usize) {
     ALLOC_COUNT.with(|c| c.set(c.get().wrapping_add(1)));
-    // usize -> u64 is lossless on every supported target.
-    ALLOC_BYTES.with(|c| c.set(c.get().wrapping_add(bytes as u64)));
+    let bytes = u64::try_from(bytes).unwrap_or(u64::MAX);
+    ALLOC_BYTES.with(|c| c.set(c.get().wrapping_add(bytes)));
 }
 
 /// The counting allocator: [`System`] plus per-thread traffic counters.

@@ -48,9 +48,11 @@ impl Json {
     ///
     /// Counters comfortably fit `f64`'s 2^53 integer range for any run this
     /// workspace performs; values beyond it lose low-order bits.
+    #[expect(
+        clippy::as_conversions,
+        reason = "u64 -> f64 rounds above 2^53, fine for metrics"
+    )]
     pub fn from_u64(v: u64) -> Json {
-        #[allow(clippy::cast_precision_loss)]
-        // lint: allow(no-as-cast) — u64 -> f64 rounds above 2^53, fine for metrics
         Json::Num(v as f64)
     }
 
@@ -167,7 +169,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
             '\t' => f.write_str("\\t")?,
             '\u{08}' => f.write_str("\\b")?,
             '\u{0C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
             c => write!(f, "{c}")?,
         }
     }

@@ -1,5 +1,5 @@
 //! Observability for the BMST workspace: spans, counters, histograms, and
-//! structured events behind a cheap global handle.
+//! structured events behind a cheap per-thread handle.
 //!
 //! The workspace is offline, so this crate is written from scratch (no
 //! `tracing`/`metrics`); it exposes exactly the surface the algorithm
@@ -13,10 +13,10 @@
 //! * [`event`] — structured one-shot events with typed fields
 //!   (`audit.violation`).
 //!
-//! All four are no-ops costing roughly **one relaxed atomic load** until a
-//! [`Recorder`] is installed. Four recorders ship in-tree:
-//! [`NoopRecorder`] (discard), [`SummaryRecorder`] (in-memory aggregation,
-//! renderable as text or JSON), [`SpanTreeRecorder`] (profiling: nested
+//! All four are no-ops costing roughly **one thread-local load** until a
+//! [`Recorder`] is [`scoped`] on the calling thread. Four recorders ship
+//! in-tree: [`NoopRecorder`] (discard), [`SummaryRecorder`] (in-memory
+//! aggregation, renderable as text or JSON), [`SpanTreeRecorder`] (profiling: nested
 //! spans aggregated into a path tree with self/cumulative time, renderable
 //! as a table or collapsed-stack flamegraph lines) and
 //! [`JsonLinesRecorder`] (streams spans and events as JSON lines, dumping
@@ -53,7 +53,12 @@
 // `deny`, not `forbid`: the feature-gated `alloc` module implements
 // `GlobalAlloc` and carries its own scoped `#![allow(unsafe_code)]`.
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
+// Lint scopes: DESIGN.md §5a. Waive one site with `#[expect(<lint>, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::as_conversions)]
+#![deny(missing_docs)]
 
 /// Counting global allocator and scoped allocation snapshots
 /// (feature `alloc`).
@@ -73,68 +78,60 @@ pub use recorder::{Field, MultiRecorder, NoopRecorder, Recorder};
 pub use span::SpanGuard;
 pub use summary::{CounterSnapshot, Histogram, SpanStat, SummaryRecorder};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::Arc;
 
-/// Fast-path flag: `false` means every instrumentation call returns after
-/// one relaxed atomic load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Fast-path flag: `false` means every instrumentation call on this
+    /// thread returns after one thread-local load.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// This thread's current recorder, set by [`scoped`].
+    static CURRENT: RefCell<Option<Arc<dyn Recorder>>> = const { RefCell::new(None) };
+}
 
-/// The installed recorder, if any. Read-locked on every slow-path call;
-/// write-locked only by [`install`]/[`uninstall`].
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
-
-/// Serialises [`scoped`] users: the guard holds this lock so concurrent
-/// scoped recordings (e.g. parallel tests) queue instead of clobbering each
-/// other's global recorder.
-static SCOPE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Returns `true` when a recorder is installed and instrumentation is live.
+/// Returns `true` when a recorder is scoped on this thread and
+/// instrumentation is live.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Installs `recorder` as the process-global recorder, replacing and
-/// returning any previous one. Prefer [`scoped`] unless the recorder should
-/// outlive the current scope (e.g. for a whole CLI invocation).
-pub fn install(recorder: Arc<dyn Recorder>) -> Option<Arc<dyn Recorder>> {
-    let mut slot = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
-    let previous = slot.replace(recorder);
-    ENABLED.store(true, Ordering::Release);
-    previous
+/// The recorder scoped on this thread, if any. Code that fans work out to
+/// other threads hands this to each worker's [`scoped`], so the workers
+/// record into the same recorder as their parent.
+pub fn current() -> Option<Arc<dyn Recorder>> {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Removes the process-global recorder, returning it so the caller can
-/// flush or inspect it. Instrumentation reverts to the ~free disabled path.
-pub fn uninstall() -> Option<Arc<dyn Recorder>> {
-    ENABLED.store(false, Ordering::Release);
-    RECORDER
-        .write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-}
-
-/// Installs `recorder` for the lifetime of the returned guard.
+/// Makes `recorder` the current thread's recorder for the lifetime of the
+/// returned guard; the guard restores the previous one (or none) on drop.
 ///
-/// Scoped installations are serialised process-wide: a second call blocks
-/// until the first guard drops, which makes concurrent tests that each
-/// install their own recorder race-free by construction.
+/// Recording is per thread: work on other threads records nothing unless
+/// it scopes a recorder itself (see [`current`]), so concurrent scopes,
+/// such as parallel tests, never see each other's data.
 pub fn scoped(recorder: Arc<dyn Recorder>) -> ScopedRecorder {
-    let lock = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    install(recorder);
-    ScopedRecorder { _lock: lock }
+    let previous = CURRENT.with(|c| c.replace(Some(recorder)));
+    ENABLED.with(|e| e.set(true));
+    ScopedRecorder {
+        previous,
+        _thread_bound: PhantomData,
+    }
 }
 
-/// RAII guard returned by [`scoped`]; uninstalls the recorder on drop.
-#[must_use = "dropping the guard immediately uninstalls the recorder"]
+/// RAII guard returned by [`scoped`]; restores the thread's previous
+/// recorder on drop. Not `Send`: it must drop on the thread it scoped.
+#[must_use = "dropping the guard immediately ends the recording scope"]
 pub struct ScopedRecorder {
-    _lock: MutexGuard<'static, ()>,
+    previous: Option<Arc<dyn Recorder>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for ScopedRecorder {
     fn drop(&mut self) {
-        uninstall();
+        let previous = self.previous.take();
+        ENABLED.with(|e| e.set(previous.is_some()));
+        CURRENT.with(|c| *c.borrow_mut() = previous);
     }
 }
 
@@ -144,19 +141,20 @@ impl std::fmt::Debug for ScopedRecorder {
     }
 }
 
-/// Runs `f` against the installed recorder, if any. The slow path of every
-/// instrumentation call.
+/// Runs `f` against this thread's recorder, if any. The slow path of
+/// every instrumentation call.
 pub(crate) fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
     if !enabled() {
         return;
     }
-    let slot = RECORDER.read().unwrap_or_else(PoisonError::into_inner);
-    if let Some(r) = slot.as_deref() {
-        f(r);
-    }
+    CURRENT.with(|c| {
+        if let Some(r) = c.borrow().as_deref() {
+            f(r);
+        }
+    });
 }
 
-/// Adds `delta` to the named counter. ~One atomic load when disabled.
+/// Adds `delta` to the named counter. One thread-local load when disabled.
 #[inline]
 pub fn counter(name: &str, delta: u64) {
     if !enabled() {

@@ -128,12 +128,9 @@ fn is_direct_child(parent: &str, child: &str) -> bool {
         && !child[parent.len() + 1..].contains('/')
 }
 
+#[expect(clippy::as_conversions, reason = "u64→f64 for display only")]
 fn nanos_to_ms(nanos: u64) -> f64 {
-    #[allow(clippy::cast_precision_loss)]
-    {
-        // lint: allow(no-as-cast) — u64→f64 for display only
-        nanos as f64 / 1.0e6
-    }
+    nanos as f64 / 1.0e6
 }
 
 impl SpanTreeRecorder {
@@ -223,8 +220,7 @@ impl SpanTreeRecorder {
                 nanos_to_ms(node.max_nanos),
             );
             if any_alloc {
-                #[allow(clippy::cast_precision_loss)]
-                // lint: allow(no-as-cast) — u64→f64 for display only
+                #[expect(clippy::as_conversions, reason = "u64→f64 for display only")]
                 let kib = node.alloc_bytes as f64 / 1024.0;
                 let _ = write!(out, " / {} / {kib:.1}", node.allocs);
             }

@@ -38,11 +38,14 @@ impl Histogram {
         }
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "u32 bucket index → usize is lossless"
+    )]
     pub(crate) fn observe(&mut self, value: u64) {
         let idx = if value == 0 {
             0
         } else {
-            // lint: allow(no-as-cast) — u32 bucket index → usize is lossless
             value.ilog2() as usize
         };
         self.buckets[idx] += 1;
@@ -53,15 +56,15 @@ impl Histogram {
     }
 
     /// Mean observed value, or 0 for an empty histogram.
+    #[expect(
+        clippy::as_conversions,
+        reason = "u64→f64 for a mean; precision loss above 2^53 is acceptable for reporting"
+    )]
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            // lint: allow(no-as-cast) — u64→f64 for a mean; precision loss above 2^53 is acceptable for reporting
-            self.sum as f64 / self.count as f64
-        }
+        self.sum as f64 / self.count as f64
     }
 
     fn to_json(&self) -> Json {
@@ -257,12 +260,9 @@ impl SummaryRecorder {
     }
 }
 
+#[expect(clippy::as_conversions, reason = "u64→f64 for display only")]
 fn nanos_to_ms(nanos: u64) -> f64 {
-    #[allow(clippy::cast_precision_loss)]
-    {
-        // lint: allow(no-as-cast) — u64→f64 for display only
-        nanos as f64 / 1.0e6
-    }
+    nanos as f64 / 1.0e6
 }
 
 impl std::fmt::Debug for SummaryRecorder {

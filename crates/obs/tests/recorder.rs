@@ -1,5 +1,5 @@
-//! Integration tests for the global recorder handle: accumulation, span
-//! nesting, and concurrent recording.
+//! Integration tests for the per-thread recorder handle: accumulation,
+//! span nesting, and concurrent recording.
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic
 
 use std::sync::Arc;
@@ -8,7 +8,7 @@ use std::thread;
 use bmst_obs::{Field, SummaryRecorder};
 
 #[test]
-fn counters_and_histograms_accumulate_through_the_global_handle() {
+fn counters_and_histograms_accumulate_through_the_scoped_handle() {
     let rec = Arc::new(SummaryRecorder::new());
     {
         let _guard = bmst_obs::scoped(rec.clone());
@@ -63,7 +63,9 @@ fn concurrent_recording_is_race_free() {
         let _guard = bmst_obs::scoped(rec.clone());
         let threads: Vec<_> = (0..8)
             .map(|_| {
-                thread::spawn(|| {
+                let parent = bmst_obs::current().unwrap();
+                thread::spawn(move || {
+                    let _guard = bmst_obs::scoped(parent);
                     for i in 0..1000u64 {
                         bmst_obs::counter("mt.count", 1);
                         bmst_obs::histogram("mt.hist", i % 16);
@@ -83,7 +85,7 @@ fn concurrent_recording_is_race_free() {
 }
 
 #[test]
-fn scoped_installs_are_serialized_and_isolated() {
+fn sequential_scopes_are_isolated() {
     // Two sequential scopes: the second must not see the first's data, and
     // data recorded outside any scope must vanish.
     let first = Arc::new(SummaryRecorder::new());
@@ -91,7 +93,7 @@ fn scoped_installs_are_serialized_and_isolated() {
         let _guard = bmst_obs::scoped(first.clone());
         bmst_obs::counter("iso.count", 1);
     }
-    bmst_obs::counter("iso.count", 100); // dropped: nothing installed
+    bmst_obs::counter("iso.count", 100); // dropped: nothing scoped
     let second = Arc::new(SummaryRecorder::new());
     {
         let _guard = bmst_obs::scoped(second.clone());

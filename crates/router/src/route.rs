@@ -71,9 +71,11 @@ impl RouteAlgorithm {
     /// Resolves a name that is known to be registered (the named
     /// constructors below); panics only if the registry loses the entry,
     /// which `cargo xtask check-registry` guards against.
-    #[allow(clippy::expect_used)] // registry invariant, justified inline
+    #[expect(
+        clippy::expect_used,
+        reason = "resolving a name the registry is built with"
+    )]
     fn known(name: &'static str) -> Self {
-        // lint: allow(no-panic) — resolving a name the registry is built with
         Self::from_name(name).expect("builtin algorithm is registered")
     }
 
@@ -419,9 +421,11 @@ fn route_named(
 }
 
 /// The registry's SPT builder (the ladder's always-feasible last rung).
-#[allow(clippy::expect_used)] // registry invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "resolving a name the registry is built with"
+)]
 fn spt_builder() -> &'static dyn TreeBuilder {
-    // lint: allow(no-panic) — resolving a name the registry is built with
     bmst_steiner::find_builder("spt").expect("spt baseline is registered")
 }
 
@@ -534,7 +538,13 @@ impl Netlist {
     /// [`RouterConfig::parallel_min_terminals`] (thread setup would cost
     /// more than it buys — the bypass is recorded as a
     /// `router.parallel_bypassed` event).
-    #[allow(clippy::expect_used)] // worker panics are propagated, justified inline
+    ///
+    /// Recording is per thread, so each worker scopes the caller's
+    /// recorder ([`bmst_obs::current`]) for its share of the nets.
+    #[expect(
+        clippy::expect_used,
+        reason = "re-raise worker panics instead of hiding them"
+    )]
     pub fn route_parallel(&self, config: &RouterConfig, jobs: usize) -> RouteReport {
         let n = self.nets.len();
         let jobs = jobs.min(n).max(1);
@@ -558,12 +568,15 @@ impl Netlist {
         }
 
         let next = AtomicUsize::new(0);
+        let recorder = bmst_obs::current();
         let batches: Vec<Vec<(usize, NetResult)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs)
                 .map(|worker| {
                     let next = &next;
                     let nets = &self.nets;
+                    let recorder = recorder.clone();
                     scope.spawn(move || {
+                        let _obs_scope = recorder.map(bmst_obs::scoped);
                         let mut out = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -580,10 +593,7 @@ impl Netlist {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    // lint: allow(no-panic) — re-raise worker panics instead of hiding them
-                    h.join().expect("routing worker panicked")
-                })
+                .map(|h| h.join().expect("routing worker panicked"))
                 .collect()
         });
 

@@ -80,11 +80,14 @@ pub const LONG_DELAY_MS: u64 = 40;
 ///
 /// Deliberately, for [`Fault::Panic`] at the `worker.route` site — the
 /// worker's `catch_unwind` must contain it.
+#[expect(
+    clippy::panic,
+    reason = "injected panic; the soak test proves the worker's catch_unwind contains it"
+)]
 pub fn fire(fault: Fault, site: &str) -> Result<(), BmstError> {
     match (fault, site) {
         (Fault::Panic, "worker.route") => {
             emit(site, "panic");
-            // lint: allow(no-panic) — injected panic; the soak test proves the worker's catch_unwind contains it
             panic!("fault-inject: seeded panic at {site}");
         }
         (Fault::Internal, "worker.route") => {

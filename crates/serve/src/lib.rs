@@ -27,6 +27,11 @@
 //! # Ok::<(), bmst_serve::ServeError>(())
 //! ```
 
+// Lint scopes: DESIGN.md §5a. Waive one site with `#[expect(<lint>, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod cache;
 pub mod fault;
 pub mod protocol;

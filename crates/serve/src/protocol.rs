@@ -83,14 +83,13 @@ fn parse_eps(v: &Json, key: &str) -> Result<f64, String> {
 }
 
 /// Reads a non-negative integer knob.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "metrics-grade conversion: budgets and caps fit f64's exact-integer range"
+)]
 fn parse_u64(v: &Json, key: &str) -> Result<u64, String> {
     match v.as_f64() {
-        Some(x) if x >= 0.0 && x.is_finite() => {
-            // Metrics-grade conversion: budgets and caps comfortably fit
-            // f64's exact-integer range.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Ok(x as u64)
-        }
+        Some(x) if x >= 0.0 && x.is_finite() => Ok(x as u64),
         _ => Err(format!("{key} must be a non-negative integer")),
     }
 }

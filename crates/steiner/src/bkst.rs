@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use bmst_core::forest::KruskalForest;
-use bmst_core::{BmstError, PathConstraint};
+use bmst_core::{BmstError, PathConstraint, ProblemContext};
 use bmst_geom::{Metric, Net, Point};
 use bmst_graph::Edge;
 use bmst_tree::RoutingTree;
@@ -162,9 +162,23 @@ pub fn bkst(net: &Net, eps: f64) -> Result<SteinerTree, BmstError> {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[allow(clippy::expect_used)] // Hanan-grid invariant, justified inline
-                              // analyze: allow(cancel-liveness) — public signature carries no CancelToken; work is Hanan-grid bounded
 pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, BmstError> {
+    run(&ProblemContext::with_constraint(net, constraint))
+}
+
+/// Context-based BKST driver behind [`bkst_with`] and the registry's
+/// `steiner` builder. Polls the context's cancel token once per terminal
+/// while seeding the heap, once per heap pop, and once per node of the
+/// exhaustion fallback, so a deadline surfaces as
+/// [`BmstError::DeadlineExceeded`] within one candidate's work.
+#[expect(
+    clippy::expect_used,
+    reason = "the grid's ladders contain every terminal coordinate by construction"
+)]
+// analyze: complexity(n^2)
+pub(crate) fn run(cx: &ProblemContext<'_>) -> Result<SteinerTree, BmstError> {
+    let net = cx.net();
+    let constraint = *cx.constraint();
     if net.metric() != Metric::L1 {
         return Err(BmstError::UnsupportedMetric {
             metric: net.metric(),
@@ -186,28 +200,25 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
     let mut points: Vec<Point> = net.points().to_vec();
     let mut dist_s: Vec<f64> = points.iter().map(|p| p.manhattan(src_pt)).collect();
     let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (id, &p) in points.iter().enumerate() {
+    let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
+    for (a, &p) in points.iter().enumerate() {
+        cx.check_cancelled()?;
         let key = grid
             .locate(p)
-            // lint: allow(no-panic) — the grid's ladders contain every terminal coordinate by construction
             .expect("terminals lie on their own Hanan grid");
         // Coincident terminals map to the same grid node; keep the first id,
         // the duplicates connect through a zero-length candidate.
-        node_of.entry(key).or_insert(id);
-    }
-
-    let mut forest = KruskalForest::new(nt, source);
-    let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
-    for a in 0..nt {
-        for b in (a + 1)..nt {
+        node_of.entry(key).or_insert(a);
+        for (b, &q) in points.iter().enumerate().skip(a + 1) {
             heap.push(Cand {
-                dist: points[a].manhattan(points[b]),
+                dist: p.manhattan(q),
                 a,
                 b,
             });
         }
     }
 
+    let mut forest = KruskalForest::new(nt, source);
     let mut edges: Vec<Edge> = Vec::new();
     let terminals_connected = |forest: &mut KruskalForest| -> usize {
         (0..nt).filter(|&t| forest.contains_source(t)).count()
@@ -243,7 +254,10 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
     // that adds no edge means the instance is genuinely stuck.
     let mut edges_at_last_fallback = usize::MAX;
 
-    while terminals_connected(&mut forest) < nt {
+    // One heap pop per round; polling here bounds a deadline overrun to
+    // one candidate's routing work.
+    while terminals_connected(&mut forest) < net.len() {
+        cx.check_cancelled()?;
         let Some(Cand { dist, a, b }) = heap.pop() else {
             // Heap exhausted. By the (3-b) invariant every live component
             // still holds a *feasible node* x with
@@ -262,6 +276,7 @@ pub fn bkst_with(net: &Net, constraint: PathConstraint) -> Result<SteinerTree, B
             edges_at_last_fallback = edges.len();
             let mut offered = false;
             for (x, &dsx) in dist_s.iter().enumerate() {
+                cx.check_cancelled()?;
                 if !forest.contains_source(x)
                     && bmst_geom::le_tol(dsx + forest.radius(x), constraint.upper)
                 {

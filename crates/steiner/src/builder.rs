@@ -12,7 +12,7 @@ use bmst_core::{
 };
 use bmst_tree::RoutingTree;
 
-use crate::bkst::bkst_with;
+use crate::bkst::run;
 
 /// BKST (§3.3): the bounded-Kruskal Steiner construction on the Hanan grid.
 ///
@@ -39,12 +39,12 @@ impl TreeBuilder for BkstBuilder {
 
     // analyze: allow(panic-reach) — raw trait API; registry consumers go through try_build, which catch_unwinds into BmstError::Internal
     fn build(&self, cx: &ProblemContext<'_>) -> Result<RoutingTree, BmstError> {
-        bkst_with(cx.net(), *cx.constraint()).map(|st| st.tree)
+        run(cx).map(|st| st.tree)
     }
 
     // analyze: allow(panic-reach) — raw trait API; registry consumers go through try_build, which catch_unwinds into BmstError::Internal
     fn build_geometry(&self, cx: &ProblemContext<'_>) -> Result<BuiltGeometry, BmstError> {
-        let st = bkst_with(cx.net(), *cx.constraint())?;
+        let st = run(cx)?;
         Ok(BuiltGeometry {
             tree: st.tree,
             points: st.points,

@@ -126,13 +126,13 @@ impl HananGrid {
     ///
     /// Panics if any of the three points is off the grid or the corner does
     /// not join the two legs.
-    #[allow(clippy::expect_used)] // documented `# Panics` contract
+    #[expect(
+        clippy::expect_used,
+        reason = "off-grid inputs are a documented `# Panics` contract violation"
+    )]
     pub fn l_path(&self, a: Point, corner: Point, b: Point) -> Vec<(usize, usize)> {
-        // lint: allow(no-panic) — off-grid inputs are a documented `# Panics` contract violation
         let (axi, ayi) = self.locate(a).expect("a on grid");
-        // lint: allow(no-panic) — off-grid inputs are a documented `# Panics` contract violation
         let (cxi, cyi) = self.locate(corner).expect("corner on grid");
-        // lint: allow(no-panic) — off-grid inputs are a documented `# Panics` contract violation
         let (bxi, byi) = self.locate(b).expect("b on grid");
         assert!(
             (axi == cxi || ayi == cyi) && (bxi == cxi || byi == cyi),

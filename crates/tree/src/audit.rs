@@ -432,7 +432,10 @@ impl RoutingTree {
             }
             stack.extend(self.children(u).iter().copied());
         }
-        // lint: allow(no-as-cast) — node count scales a tolerance; precision loss above 2^53 nodes is irrelevant
+        #[expect(
+            clippy::as_conversions,
+            reason = "node count scales a tolerance; precision loss above 2^53 nodes is irrelevant"
+        )]
         if (self.cost() - recomputed_cost).abs() > EPS_TOL * (n.max(1)) as f64 {
             return Err(AuditViolation::StaleCost {
                 stored: self.cost(),

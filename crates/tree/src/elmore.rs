@@ -140,11 +140,12 @@ impl ElmoreDelays {
     /// # Panics
     ///
     /// Panics if `params.load_cap.len() < tree.universe()`.
-    #[allow(clippy::expect_used)] // coverage invariant, justified inline
+    #[expect(
+        clippy::expect_used,
+        reason = "the root is covered in every RoutingTree"
+    )]
     pub fn from_source(tree: &RoutingTree, params: &ElmoreParams) -> Self {
-        Self::compute(tree, tree.root(), params, true)
-            // lint: allow(no-panic) — the root is covered in every RoutingTree
-            .expect("tree root is always covered")
+        Self::compute(tree, tree.root(), params, true).expect("tree root is always covered")
     }
 
     // analyze: allow(cancel-liveness) — single tree traversal; bmst-tree has no CancelToken dependency
@@ -276,14 +277,15 @@ impl ElmoreDelays {
 /// # Panics
 ///
 /// Panics if `params.load_cap.len() < tree.universe()`.
-#[allow(clippy::expect_used)] // coverage invariant, justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "from_node accepts exactly the covered nodes being iterated"
+)]
 pub fn elmore_radii(tree: &RoutingTree, params: &ElmoreParams) -> Vec<f64> {
     let n = tree.universe();
     let mut radii = vec![f64::INFINITY; n];
     for u in tree.covered_nodes() {
-        let d = ElmoreDelays::from_node(tree, u, params)
-            // lint: allow(no-panic) — from_node accepts exactly the covered nodes being iterated
-            .expect("covered nodes are valid origins");
+        let d = ElmoreDelays::from_node(tree, u, params).expect("covered nodes are valid origins");
         radii[u] = d.max_delay();
     }
     radii

@@ -1,6 +1,6 @@
 //! Thin driver over the `bmst-analyze` engine.
 //!
-//! The rules themselves — lexer, token models, the nine rule
+//! The rules themselves — lexer, token models, the five rule
 //! implementations, marker handling, and the `events.toml` diff — live in
 //! `crates/analyze`; this module only parses CLI arguments, runs the
 //! engine at the workspace root, and formats the report. See

@@ -142,8 +142,10 @@ fn flat_counters(text: &str) -> Result<BTreeMap<String, u64>, String> {
         };
         for (k, v) in counters {
             if let Some(v) = v.as_f64() {
-                // lint: allow(no-as-cast) — counters are emitted as u64; f64 round-trip is exact below 2^53
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "counters are emitted as u64; the f64 round-trip is exact below 2^53"
+                )]
                 out.insert(k.clone(), v as u64);
             }
         }

@@ -104,3 +104,21 @@ fn folded_profile_covers_the_routing_stack() {
         "router.net missing from folded output: {folded}"
     );
 }
+
+#[test]
+fn scoped_recorder_ignores_unscoped_routes_on_other_threads() {
+    let netlist = test_netlist();
+    let config = RouterConfig::default();
+    let rec = Arc::new(SpanTreeRecorder::new());
+    {
+        let _guard = bmst_obs::scoped(rec.clone());
+        std::thread::scope(|s| {
+            // A sibling routes the same netlist unscoped, concurrently.
+            let sibling = s.spawn(|| netlist.route(&config));
+            let _ = netlist.route(&config);
+            sibling.join().unwrap();
+        });
+    }
+    let node = rec.node("router.net").expect("per-net span recorded");
+    assert_eq!(node.count, 6, "only this thread's six nets are recorded");
+}
